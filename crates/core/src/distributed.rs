@@ -80,8 +80,7 @@ impl Cluster {
     pub fn new(zones: &[i64], battery: u64, alert_below: u64, drain_per_request: u64) -> Result<Cluster> {
         let bus = ServiceBus::new();
         // All replicas share one logical key/value dataset (a fully
-        // replicated store — replication mechanics live in
-        // sbdms-extension; here the question is *placement*).
+        // replicated store; here the question is *placement*).
         let store: Arc<Mutex<HashMap<String, String>>> = Arc::new(Mutex::new(HashMap::new()));
 
         let iface = Interface::new(

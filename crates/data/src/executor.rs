@@ -120,6 +120,13 @@ impl Default for DbOptions {
     }
 }
 
+/// What a statement text resolves to before it runs: a (cached or
+/// freshly planned) SELECT, or any other parsed statement.
+enum Prepared {
+    Select(Arc<PlannedQuery>),
+    Other(Statement),
+}
+
 /// How one admitted statement runs: its cancellation/memory context,
 /// whether the governor degraded it to the cheaper execution path, and
 /// which session issued it (`None` = the default session).
@@ -331,26 +338,24 @@ impl Database {
         self.knobs.lock().resolve_engine().0
     }
 
-    /// The engine decision recorded on planned queries: surfaces in
-    /// `EXPLAIN` output and `plan.selected` events.
-    fn engine_decision(&self) -> String {
-        let (engine, why) = self.knobs.lock().resolve_engine();
-        format!("engine: {engine} ({why})")
-    }
-
-    /// Push the engine decision, plus — when the plan contains a hash
-    /// equi-join — the join-kernel decision: which hash-table
-    /// implementation the resolved engine's join will use (the tuple
+    /// The engine decision recorded on planned queries (surfaced in
+    /// `EXPLAIN` output and `plan.selected` events), plus — when the plan
+    /// contains a hash equi-join — the join-kernel decision: which
+    /// hash-table implementation the engine's join will use (the tuple
     /// engine's row-at-a-time `HashMap`, or the vectorized engine's
-    /// columnar open-addressing table).
-    fn push_engine_decisions(&self, planned: &mut PlannedQuery) {
-        planned.decisions.push(self.engine_decision());
-        if plan_has_hash_join(&planned.plan) {
-            let kind = self.execution_engine();
-            planned
-                .decisions
-                .push(format!("join kernel: {}", kind.join_kernel()));
+    /// columnar open-addressing table). A degraded admission runs on the
+    /// tuple engine whatever the knobs say.
+    fn engine_decisions(&self, plan: &Plan, degraded: bool) -> Vec<String> {
+        let (engine, why) = if degraded {
+            (EngineKind::Tuple, "degraded: overload")
+        } else {
+            self.knobs.lock().resolve_engine()
+        };
+        let mut lines = vec![format!("engine: {engine} ({why})")];
+        if plan_has_hash_join(plan) {
+            lines.push(format!("join kernel: {}", engine.join_kernel()));
         }
+        lines
     }
 
     /// Attach a kernel event bus: each freshly planned query publishes a
@@ -462,29 +467,40 @@ impl Database {
     /// connection — is a cache hit: the server's prepared-statement
     /// handles all resolve here.
     pub fn prepare(&self, sql: &str) -> Result<Vec<String>> {
+        match self.get_or_plan(sql)? {
+            Prepared::Select(planned) => Ok(planned.columns.clone()),
+            Prepared::Other(_) => Ok(Vec::new()),
+        }
+    }
+
+    /// Resolve `sql` to a cached or freshly planned SELECT, or to any
+    /// other parsed statement. Only SELECTs are cacheable; the keyword
+    /// peek keeps DML and DDL off the cache (and out of its hit/miss
+    /// accounting) without parsing first. A fresh plan is inserted under
+    /// the re-read epoch (a stale-stats refresh bumps it), counted, and
+    /// published.
+    fn get_or_plan(&self, sql: &str) -> Result<Prepared> {
         let is_select = sql
             .trim_start()
             .get(..6)
             .is_some_and(|kw| kw.eq_ignore_ascii_case("select"));
         if !is_select {
-            parse(sql)?;
-            return Ok(Vec::new());
+            return Ok(Prepared::Other(parse(sql)?));
         }
-        let epoch = self.plan_epoch();
-        if let Some(planned) = self.plan_cache.get(sql, epoch) {
-            return Ok(planned.columns.clone());
+        if let Some(planned) = self.plan_cache.get(sql, self.plan_epoch()) {
+            return Ok(Prepared::Select(planned));
         }
-        let stmt = parse(sql)?;
-        let Statement::Select(select) = stmt else {
-            return Ok(Vec::new());
+        let select = match parse(sql)? {
+            Statement::Select(select) => select,
+            stmt => return Ok(Prepared::Other(stmt)),
         };
         self.refresh_stale_stats(&select)?;
         let mut planned = plan_select(&select, self)?;
-        self.push_engine_decisions(&mut planned);
+        planned.decisions.extend(self.engine_decisions(&planned.plan, false));
         let planned = Arc::new(planned);
         self.plan_cache.insert(sql, self.plan_epoch(), planned.clone());
         self.note_plan_selected(sql, &planned.decisions);
-        Ok(planned.columns.clone())
+        Ok(Prepared::Select(planned))
     }
 
     /// Begin an explicit transaction on the default session.
@@ -701,47 +717,27 @@ impl Database {
 
     /// [`Database::execute`] past admission, under one run mode.
     fn execute_with(&self, sql: &str, mode: &RunMode) -> Result<QueryResult> {
-        // Only SELECTs are cacheable; the keyword peek keeps DML and DDL
-        // off the cache (and out of its hit/miss accounting) without
-        // parsing first.
-        let is_select = sql
-            .trim_start()
-            .get(..6)
-            .is_some_and(|kw| kw.eq_ignore_ascii_case("select"));
-        if !is_select {
-            return self.execute_statement_with(parse(sql)?, mode);
+        match self.get_or_plan(sql)? {
+            Prepared::Select(planned) => {
+                self.note_degraded_run(sql, &planned.plan, mode);
+                self.run_planned_with(&planned, mode)
+            }
+            Prepared::Other(stmt) => self.execute_statement_with(stmt, mode),
         }
-        let epoch = self.plan_epoch();
-        if let Some(planned) = self.plan_cache.get(sql, epoch) {
-            self.note_degraded_run(sql, mode);
-            return self.run_planned_with(&planned, mode);
-        }
-        let stmt = parse(sql)?;
-        if let Statement::Select(select) = stmt {
-            self.refresh_stale_stats(&select)?;
-            let mut planned = plan_select(&select, self)?;
-            self.push_engine_decisions(&mut planned);
-            let planned = Arc::new(planned);
-            // Re-read the epoch: a stale-stats refresh above bumps it.
-            self.plan_cache.insert(sql, self.plan_epoch(), planned.clone());
-            self.note_plan_selected(sql, &planned.decisions);
-            self.note_degraded_run(sql, mode);
-            return self.run_planned_with(&planned, mode);
-        }
-        self.execute_statement_with(stmt, mode)
     }
 
     /// Publish the degradation decision for this run. Cached plans keep
     /// their normal decision strings (the cache is shared across runs),
-    /// so a degraded admission announces itself per execution.
-    fn note_degraded_run(&self, sql: &str, mode: &RunMode) {
+    /// so a degraded admission announces its engine line per execution.
+    fn note_degraded_run(&self, sql: &str, plan: &Plan, mode: &RunMode) {
         if !mode.degraded {
             return;
         }
         if let Some(bus) = self.event_bus.lock().as_ref() {
+            let engine = &self.engine_decisions(plan, true)[0];
             bus.publish(Event::Custom {
                 topic: "plan.selected".into(),
-                detail: format!("{sql} :: engine: tuple (degraded: overload)"),
+                detail: format!("{sql} :: {engine}"),
             });
         }
     }
@@ -832,18 +828,7 @@ impl Database {
     /// `-- ...` comment lines.
     fn run_explain(&self, select: &Select, mode: &RunMode) -> Result<QueryResult> {
         let mut planned = plan_select(select, self)?;
-        if mode.degraded {
-            planned
-                .decisions
-                .push("engine: tuple (degraded: overload)".to_string());
-            if plan_has_hash_join(&planned.plan) {
-                planned
-                    .decisions
-                    .push(format!("join kernel: {}", EngineKind::Tuple.join_kernel()));
-            }
-        } else {
-            self.push_engine_decisions(&mut planned);
-        }
+        planned.decisions.extend(self.engine_decisions(&planned.plan, mode.degraded));
         planned
             .decisions
             .push(format!("concurrency: {} (profile)", self.concurrency));
@@ -866,8 +851,7 @@ impl Database {
 
     /// [`Database::run_select`] under one run mode.
     fn run_select_with(&self, select: &Select, mode: &RunMode) -> Result<QueryResult> {
-        let mut planned = plan_select(select, self)?;
-        self.push_engine_decisions(&mut planned);
+        let planned = plan_select(select, self)?;
         self.run_planned_with(&planned, mode)
     }
 
@@ -1055,132 +1039,56 @@ impl Database {
         self.txns.commit_sync(barrier)
     }
 
-    /// Materialize the rows of `table` visible to `state` — its pinned
-    /// snapshot overlaid with its own uncommitted writes — or the
-    /// latest-committed state when no transaction is open. Runs under
-    /// the MVCC read latch so no commit applies mid-scan.
-    fn mvcc_visible_rows(
+    /// Resolve candidate rows through a transaction's snapshot into the
+    /// visible rows, in order — the one place the MVCC visibility rules
+    /// live (DESIGN §4j). Candidates are read under the read latch.
+    /// Without an open MVCC transaction the heap rows are returned as-is.
+    /// Otherwise the order is: own buffered writes, then overlay
+    /// visibility, then chain-only keys the candidates missed, then own
+    /// writes they missed. B-tree entries describe only committed heap
+    /// state, so every image not read from the heap is re-checked with
+    /// `matches`, which mirrors the probe's B-tree comparison
+    /// (`Datum::order`, so a NULL key component matches a NULL bound).
+    fn snapshot_rows<I: Iterator<Item = (Rid, Option<Tuple>)>>(
         &self,
         t: &Table,
-        table: &str,
         state: Option<&MvccTxnState>,
+        candidates: impl FnOnce() -> Result<I>,
+        matches: &dyn Fn(&Tuple) -> bool,
     ) -> Result<Vec<(RowKey, Tuple)>> {
-        let mvcc = self.mvcc.as_ref().expect("mvcc profile");
-        let _latch = mvcc.read_latch();
-        let heap = t.scan()?;
-        let Some(state) = state else {
-            // Autocommit read: the latest committed state is the heap.
-            return Ok(heap
-                .into_iter()
-                .map(|(rid, row)| (RowKey::Heap(rid), row))
-                .collect());
+        let _latch = self.mvcc.as_ref().map(|mvcc| mvcc.read_latch());
+        let candidates = candidates()?;
+        let mut out = Vec::with_capacity(candidates.size_hint().0);
+        let (Some(mvcc), Some(state)) = (&self.mvcc, state) else {
+            for (rid, img) in candidates {
+                out.push((RowKey::Heap(rid), img.map_or_else(|| t.get(rid), Ok)?));
+            }
+            return Ok(out);
         };
+        let table = &t.meta().name;
         let own = state.overlay.get(table);
         let ov = mvcc.scan_overlay(table, state.txn.snapshot);
-        let mut out = Vec::with_capacity(heap.len());
         let mut seen: BTreeSet<u64> = BTreeSet::new();
-        for (rid, row) in heap {
-            let key = rid_key(rid);
-            seen.insert(key);
-            if let Some(w) = own.and_then(|m| m.get(&RowKey::Heap(rid))) {
+        for (rid, img) in candidates {
+            let k = rid_key(rid);
+            if !seen.insert(k) {
+                continue;
+            }
+            let key = RowKey::Heap(rid);
+            if let Some(w) = own.and_then(|m| m.get(&key)) {
                 // Own writes win over the snapshot (we hold the lock, so
                 // the heap occupant cannot change underneath them).
-                if let Some(img) = own_image(w) {
-                    out.push((RowKey::Heap(rid), img.clone()));
+                if let Some(img) = own_image(w).filter(|img| matches(img)) {
+                    out.push((key, img.clone()));
                 }
                 continue;
             }
-            match ov.visibility(key) {
-                Visibility::Current => out.push((RowKey::Heap(rid), row)),
-                Visibility::Replaced(bytes) => {
-                    out.push((RowKey::Heap(rid), decode_tuple(&bytes)?))
-                }
-                Visibility::Hidden => {}
-            }
-        }
-        // Keys whose visible version lives only in the chains: rows a
-        // later commit deleted, still visible to this snapshot.
-        let mut chain: Vec<u64> = ov.chain_keys().filter(|k| !seen.contains(k)).collect();
-        chain.sort_unstable();
-        for key in chain {
-            let rid = key_rid(key);
-            if let Some(w) = own.and_then(|m| m.get(&RowKey::Heap(rid))) {
-                if let Some(img) = own_image(w) {
-                    out.push((RowKey::Heap(rid), img.clone()));
-                }
-                continue;
-            }
-            if let Visibility::Replaced(bytes) = ov.visibility(key) {
-                out.push((RowKey::Heap(rid), decode_tuple(&bytes)?));
-            }
-        }
-        // This transaction's own pending inserts.
-        if let Some(own) = own {
-            for (k, w) in own {
-                if let (RowKey::Local(_), OwnWrite::Local(img)) = (k, w) {
-                    out.push((*k, img.clone()));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    /// An index probe with snapshot semantics. The B-tree indexes only
-    /// committed heap state, so the probed rid set is a superset/subset
-    /// of the truth in three ways, each patched here: probed rids may be
-    /// invisible (resolve through the overlay), chain keys the probe
-    /// missed may hold a visible older image that matches, and this
-    /// transaction's own buffered writes are not indexed at all.
-    /// `probe` runs under the read latch and yields candidate rids from
-    /// the index; `matches` re-checks a row *image* (replaced version or
-    /// buffered write) against the probe's key constraints, mirroring
-    /// B-tree semantics exactly (`Datum::order` comparisons, not SQL
-    /// equality — a NULL key component matches a NULL constraint).
-    fn mvcc_index_probe(
-        &self,
-        t: &Table,
-        table: &str,
-        probe: &dyn Fn() -> Result<Vec<Rid>>,
-        matches: &dyn Fn(&Tuple) -> bool,
-        mode: &RunMode,
-    ) -> Result<Vec<Tuple>> {
-        let mvcc = self.mvcc.as_ref().expect("mvcc profile");
-        let table_lc = table.to_lowercase();
-        let core = self.run_session(mode).clone();
-        let guard = core.txn.lock();
-        let state = match &*guard {
-            Some(ActiveTxn::Mvcc(state)) => Some(state),
-            _ => None,
-        };
-        let _latch = mvcc.read_latch();
-        let probed = probe()?;
-        let Some(state) = state else {
-            // Autocommit read: the probe is exact against the heap.
-            return probed.into_iter().map(|rid| t.get(rid)).collect();
-        };
-        let own = state.overlay.get(&table_lc);
-        let ov = mvcc.scan_overlay(&table_lc, state.txn.snapshot);
-        let mut out = Vec::new();
-        let mut seen: BTreeSet<RowKey> = BTreeSet::new();
-        for rid in probed {
-            let key = RowKey::Heap(rid);
-            if !seen.insert(key) {
-                continue;
-            }
-            if let Some(w) = own.and_then(|m| m.get(&key)) {
-                if let Some(img) = own_image(w) {
-                    if matches(img) {
-                        out.push(img.clone());
-                    }
-                }
-                continue;
-            }
-            match ov.visibility(rid_key(rid)) {
-                Visibility::Current => out.push(t.get(rid)?),
+            match ov.visibility(k) {
+                Visibility::Current => out.push((key, img.map_or_else(|| t.get(rid), Ok)?)),
                 Visibility::Replaced(bytes) => {
                     let img = decode_tuple(&bytes)?;
                     if matches(&img) {
-                        out.push(img);
+                        out.push((key, img));
                     }
                 }
                 Visibility::Hidden => {}
@@ -1190,47 +1098,62 @@ impl Database {
         chain.sort_unstable();
         for k in chain {
             let key = RowKey::Heap(key_rid(k));
-            if !seen.insert(key) || own.is_some_and(|m| m.contains_key(&key)) {
+            if seen.contains(&k) || own.is_some_and(|m| m.contains_key(&key)) {
                 continue;
             }
             if let Visibility::Replaced(bytes) = ov.visibility(k) {
                 let img = decode_tuple(&bytes)?;
                 if matches(&img) {
-                    out.push(img);
+                    out.push((key, img));
                 }
             }
         }
-        if let Some(own) = own {
-            for (key, w) in own {
-                if seen.contains(key) {
-                    continue;
-                }
-                if let Some(img) = own_image(w) {
-                    if matches(img) {
-                        out.push(img.clone());
-                    }
-                }
+        for (key, w) in own.into_iter().flatten() {
+            if matches!(key, RowKey::Heap(rid) if seen.contains(&rid_key(*rid))) {
+                continue;
+            }
+            if let Some(img) = own_image(w).filter(|img| matches(img)) {
+                out.push((*key, img.clone()));
             }
         }
         Ok(out)
     }
 
-    /// Visible rows of `table` matching `predicate`, with row keys — the
-    /// MVCC counterpart of [`Database::matching_rids`].
-    fn mvcc_matching(
+    /// [`Database::snapshot_rows`] for a plan leaf, through the open MVCC
+    /// transaction of the statement's session (if any), row keys dropped.
+    fn session_rows<I: Iterator<Item = (Rid, Option<Tuple>)>>(
         &self,
         t: &Table,
-        table: &str,
-        state: &MvccTxnState,
+        candidates: impl FnOnce() -> Result<I>,
+        matches: &dyn Fn(&Tuple) -> bool,
+        mode: &RunMode,
+    ) -> Result<Vec<Tuple>> {
+        let guard = self.run_session(mode).txn.lock();
+        let state = match &*guard {
+            Some(ActiveTxn::Mvcc(state)) => Some(state),
+            _ => None,
+        };
+        let rows = self.snapshot_rows(t, state, candidates, matches)?;
+        Ok(rows.into_iter().map(|(_, row)| row).collect())
+    }
+
+    /// The target rows of an UPDATE/DELETE: the rows `state` (or, without
+    /// an MVCC transaction, the heap) presents that satisfy `predicate`,
+    /// in scan order. The predicate runs after resolution, outside the
+    /// MVCC read latch, so it never holds back a commit. All cancellation
+    /// checks happen here, before any mutation: a cancelled auto-commit
+    /// UPDATE/DELETE aborts with zero rows touched, and an explicit
+    /// transaction unwinds via undo.
+    fn dml_targets(
+        &self,
+        t: &Table,
+        state: Option<&MvccTxnState>,
         predicate: &Option<exec::Expr>,
         mode: &RunMode,
     ) -> Result<Vec<(RowKey, Tuple)>> {
+        let rows = self.snapshot_rows(t, state, || heap_candidates(t), &|_| true)?;
         let mut out = Vec::new();
-        for (i, (key, tuple)) in self
-            .mvcc_visible_rows(t, table, Some(state))?
-            .into_iter()
-            .enumerate()
-        {
+        for (i, (key, tuple)) in rows.into_iter().enumerate() {
             if i % exec::CANCEL_QUANTUM == 0 {
                 mode.ctx.check()?;
             }
@@ -1330,7 +1253,7 @@ impl Database {
         let t = self.table(table)?;
         let schema = t.schema().clone();
         let mut env = BindEnv::default();
-        env_push(&mut env, table, &schema);
+        env.push_table(table, &schema);
 
         let assignments: Vec<(usize, exec::Expr)> = set
             .iter()
@@ -1346,13 +1269,13 @@ impl Database {
         if self.mvcc.is_some() {
             let table_lc = table.to_lowercase();
             return self.with_mvcc_txn(mode, |state| {
-                let matches = self.mvcc_matching(&t, &table_lc, state, &predicate, mode)?;
+                let targets = self.dml_targets(&t, Some(state), &predicate, mode)?;
                 // Evaluate every new image first (fallible), then take
                 // every write lock (fallible), then mutate the overlay
                 // (infallible): a conflict or eval error leaves the
                 // statement a no-op and the transaction open.
-                let mut staged = Vec::with_capacity(matches.len());
-                for (key, old) in matches {
+                let mut staged = Vec::with_capacity(targets.len());
+                for (key, old) in targets {
                     let mut new = old.clone();
                     for (pos, expr) in &assignments {
                         new[*pos] = expr.eval(&old)?;
@@ -1374,10 +1297,11 @@ impl Database {
             });
         }
 
-        let matches = self.matching_rids(&t, &predicate, mode)?;
+        let targets = self.dml_targets(&t, None, &predicate, mode)?;
         let txn = self.open_single_txn(mode);
         let mut affected = 0;
-        for (rid, old) in matches {
+        for (key, old) in targets {
+            let rid = heap_rid(key)?;
             let mut new = old.clone();
             for (pos, expr) in &assignments {
                 new[*pos] = expr.eval(&old)?;
@@ -1402,63 +1326,38 @@ impl Database {
         let t = self.table(table)?;
         let schema = t.schema().clone();
         let mut env = BindEnv::default();
-        env_push(&mut env, table, &schema);
+        env.push_table(table, &schema);
         let predicate = filter.map(|f| compile_expr(&f, &env)).transpose()?;
 
         if self.mvcc.is_some() {
             let table_lc = table.to_lowercase();
             return self.with_mvcc_txn(mode, |state| {
-                let matches = self.mvcc_matching(&t, &table_lc, state, &predicate, mode)?;
+                let targets = self.dml_targets(&t, Some(state), &predicate, mode)?;
                 let mvcc = self.mvcc.as_ref().expect("mvcc profile");
-                for (key, _) in &matches {
+                for (key, _) in &targets {
                     if let RowKey::Heap(rid) = key {
                         mvcc.lock_write(&state.txn, &table_lc, rid_key(*rid))?;
                     }
                 }
-                let affected = matches.len();
+                let affected = targets.len();
                 let entry = state.overlay.entry(table_lc.clone()).or_default();
-                for (key, old) in matches {
+                for (key, old) in targets {
                     apply_own_write(entry, key, old, None);
                 }
                 Ok(QueryResult::affected(affected))
             });
         }
 
-        let matches = self.matching_rids(&t, &predicate, mode)?;
+        let targets = self.dml_targets(&t, None, &predicate, mode)?;
         let txn = self.open_single_txn(mode);
         let mut affected = 0;
-        for (rid, old) in matches {
-            t.delete(rid)?;
+        for (key, old) in targets {
+            t.delete(heap_rid(key)?)?;
             self.log_if_txn(txn, || UndoOp::delete(table, &old))?;
             affected += 1;
         }
         self.catalog.note_writes(table, affected as u64);
         Ok(QueryResult::affected(affected))
-    }
-
-    /// Scan for DML targets. All cancellation checks happen here, before
-    /// any mutation: a cancelled auto-commit UPDATE/DELETE aborts with
-    /// zero rows touched, and an explicit transaction unwinds via undo.
-    fn matching_rids(
-        &self,
-        t: &Table,
-        predicate: &Option<exec::Expr>,
-        mode: &RunMode,
-    ) -> Result<Vec<(Rid, Tuple)>> {
-        let mut out = Vec::new();
-        for (i, (rid, tuple)) in t.scan()?.into_iter().enumerate() {
-            if i % exec::CANCEL_QUANTUM == 0 {
-                mode.ctx.check()?;
-            }
-            let keep = match predicate {
-                None => true,
-                Some(p) => p.eval(&tuple)?.is_true(),
-            };
-            if keep {
-                out.push((rid, tuple));
-            }
-        }
-        Ok(out)
     }
 
     /// Evaluate a physical plan into a tuple stream on the tuple
@@ -1490,19 +1389,7 @@ impl Database {
             // only over the materialized rows).
             Plan::TableScan { table } if self.mvcc.is_some() => {
                 let t = self.table(table)?;
-                let table_lc = table.to_lowercase();
-                let core = self.run_session(mode).clone();
-                let guard = core.txn.lock();
-                let state = match &*guard {
-                    Some(ActiveTxn::Mvcc(state)) => Some(state),
-                    _ => None,
-                };
-                let rows: Vec<Tuple> = self
-                    .mvcc_visible_rows(&t, &table_lc, state)?
-                    .into_iter()
-                    .map(|(_, row)| row)
-                    .collect();
-                drop(guard);
+                let rows = self.session_rows(&t, || heap_candidates(&t), &|_| true, mode)?;
                 Ok(engine.values(rows))
             }
             Plan::TableScan { table } => {
@@ -1534,48 +1421,12 @@ impl Database {
                 // A bare equality prefix is an inclusive prefix bound on
                 // both ends; an explicit range keeps its own hi flag.
                 let hi_flag = if hi.is_some() { *hi_inclusive } else { true };
-                if self.mvcc.is_some() {
-                    let positions = key_positions(&t, key_columns)?;
-                    let probe = || -> Result<Vec<Rid>> {
-                        let tree = index_tree(&t, index)?;
-                        Ok(tree
-                            .range(lo_key.as_deref(), hi_key.as_deref(), true, hi_flag)?
-                            .into_iter()
-                            .map(|(_, rid)| rid)
-                            .collect())
-                    };
-                    let matches = |img: &Tuple| {
-                        for (d, &p) in eq.iter().zip(&positions) {
-                            if img[p].order(d) != std::cmp::Ordering::Equal {
-                                return false;
-                            }
-                        }
-                        match positions.get(eq.len()) {
-                            Some(&p) if lo.is_some() || hi.is_some() => {
-                                datum_in_range(&img[p], lo.as_ref(), hi.as_ref(), *hi_inclusive)
-                            }
-                            _ => true,
-                        }
-                    };
-                    let rows = self.mvcc_index_probe(&t, table, &probe, &matches, mode)?;
-                    if *covering {
-                        // Index-only output under MVCC still resolves
-                        // visibility through the heap/overlay; project
-                        // the visible rows down to the key columns.
-                        let rows: Vec<Tuple> = rows
-                            .into_iter()
-                            .map(|r| positions.iter().map(|&p| r[p].clone()).collect())
-                            .collect();
-                        return Ok(engine.values(rows));
-                    }
-                    return Ok(engine.values(rows));
-                }
-                let tree = index_tree(&t, index)?;
-                let probed = tree.range(lo_key.as_deref(), hi_key.as_deref(), true, hi_flag)?;
-                if *covering {
+                if *covering && self.mvcc.is_none() {
                     // The B-tree entries already carry the key columns:
                     // emit them without ever touching the heap. The
                     // vectorized engine receives them columnar.
+                    let tree = index_tree(&t, index)?;
+                    let probed = tree.range(lo_key.as_deref(), hi_key.as_deref(), true, hi_flag)?;
                     let nrows = probed.len();
                     let mut columns: Vec<Vec<Datum>> =
                         vec![Vec::with_capacity(nrows); key_columns.len()];
@@ -1586,10 +1437,39 @@ impl Database {
                     }
                     return Ok(engine.values_columnar(columns, nrows));
                 }
-                let rows: Vec<Tuple> = probed
-                    .into_iter()
-                    .map(|(_, rid)| t.get(rid))
-                    .collect::<Result<_>>()?;
+                let positions = key_positions(&t, key_columns)?;
+                let probe = || -> Result<Vec<Rid>> {
+                    let tree = index_tree(&t, index)?;
+                    Ok(tree
+                        .range(lo_key.as_deref(), hi_key.as_deref(), true, hi_flag)?
+                        .into_iter()
+                        .map(|(_, rid)| rid)
+                        .collect())
+                };
+                let matches = |img: &Tuple| {
+                    for (d, &p) in eq.iter().zip(&positions) {
+                        if img[p].order(d) != std::cmp::Ordering::Equal {
+                            return false;
+                        }
+                    }
+                    match positions.get(eq.len()) {
+                        Some(&p) if lo.is_some() || hi.is_some() => {
+                            datum_in_range(&img[p], lo.as_ref(), hi.as_ref(), *hi_inclusive)
+                        }
+                        _ => true,
+                    }
+                };
+                let rows = self.session_rows(&t, || probed(probe()?), &matches, mode)?;
+                let rows = if *covering {
+                    // Index-only output under MVCC still resolves
+                    // visibility through the heap/overlay; project the
+                    // visible rows down to the key columns.
+                    rows.into_iter()
+                        .map(|r| positions.iter().map(|&p| r[p].clone()).collect())
+                        .collect()
+                } else {
+                    rows
+                };
                 Ok(engine.values(rows))
             }
             Plan::IndexOr {
@@ -1609,22 +1489,15 @@ impl Database {
                     }
                     Ok(rids.into_iter().collect())
                 };
-                let rows: Vec<Tuple> = if self.mvcc.is_some() {
-                    let positions = key_positions(&t, key_columns)?;
-                    let matches = |img: &Tuple| {
-                        keys.iter().any(|key| {
-                            key.iter()
-                                .zip(&positions)
-                                .all(|(d, &p)| img[p].order(d) == std::cmp::Ordering::Equal)
-                        })
-                    };
-                    self.mvcc_index_probe(&t, table, &probe, &matches, mode)?
-                } else {
-                    probe()?
-                        .into_iter()
-                        .map(|rid| t.get(rid))
-                        .collect::<Result<_>>()?
+                let positions = key_positions(&t, key_columns)?;
+                let matches = |img: &Tuple| {
+                    keys.iter().any(|key| {
+                        key.iter()
+                            .zip(&positions)
+                            .all(|(d, &p)| img[p].order(d) == std::cmp::Ordering::Equal)
+                    })
                 };
+                let rows = self.session_rows(&t, || probed(probe()?), &matches, mode)?;
                 Ok(engine.values(rows))
             }
             Plan::IndexAnd { table, probes } => {
@@ -1645,25 +1518,18 @@ impl Database {
                     }
                     Ok(acc.unwrap_or_default())
                 };
-                let rows: Vec<Tuple> = if self.mvcc.is_some() {
-                    let positions: Vec<Vec<usize>> = probes
-                        .iter()
-                        .map(|p| key_positions(&t, &p.key_columns))
-                        .collect::<Result<_>>()?;
-                    let matches = |img: &Tuple| {
-                        probes.iter().zip(&positions).all(|(p, pos)| {
-                            p.eq.iter()
-                                .zip(pos)
-                                .all(|(d, &c)| img[c].order(d) == std::cmp::Ordering::Equal)
-                        })
-                    };
-                    self.mvcc_index_probe(&t, table, &probe, &matches, mode)?
-                } else {
-                    probe()?
-                        .into_iter()
-                        .map(|rid| t.get(rid))
-                        .collect::<Result<_>>()?
+                let positions: Vec<Vec<usize>> = probes
+                    .iter()
+                    .map(|p| key_positions(&t, &p.key_columns))
+                    .collect::<Result<_>>()?;
+                let matches = |img: &Tuple| {
+                    probes.iter().zip(&positions).all(|(p, pos)| {
+                        p.eq.iter()
+                            .zip(pos)
+                            .all(|(d, &c)| img[c].order(d) == std::cmp::Ordering::Equal)
+                    })
                 };
+                let rows = self.session_rows(&t, || probed(probe()?), &matches, mode)?;
                 Ok(engine.values(rows))
             }
             Plan::Values { rows } => Ok(engine.values(rows.clone())),
@@ -1729,8 +1595,27 @@ impl Database {
     }
 }
 
-fn env_push(env: &mut BindEnv, table: &str, schema: &Schema) {
-    env.push_table(table, schema);
+/// Every heap row as a [`Database::snapshot_rows`] candidate, image
+/// included (a scan).
+fn heap_candidates(t: &Table) -> Result<impl Iterator<Item = (Rid, Option<Tuple>)>> {
+    Ok(t.scan()?.into_iter().map(|(rid, row)| (rid, Some(row))))
+}
+
+/// An index probe's rids as [`Database::snapshot_rows`] candidates; the
+/// images are fetched on demand.
+fn probed(rids: Vec<Rid>) -> Result<impl Iterator<Item = (Rid, Option<Tuple>)>> {
+    Ok(rids.into_iter().map(|rid| (rid, None)))
+}
+
+/// The heap rid of a DML target outside an MVCC transaction, where
+/// every target is a heap row.
+fn heap_rid(key: RowKey) -> Result<Rid> {
+    match key {
+        RowKey::Heap(rid) => Ok(rid),
+        RowKey::Local(_) => Err(ServiceError::Internal(
+            "buffered insert outside an mvcc transaction".into(),
+        )),
+    }
 }
 
 /// The pending image an own-write presents to its transaction (`None`

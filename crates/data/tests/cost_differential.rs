@@ -7,7 +7,9 @@
 
 use proptest::prelude::*;
 use sbdms_access::exec::join::JoinAlgorithm;
-use sbdms_data::executor::{Database, DbOptions};
+use sbdms_data::executor::{Database, DbOptions, QueryResult};
+use sbdms_data::ast::Statement;
+use sbdms_data::{parse, plan_select, ConcurrencyControl, Plan};
 use sbdms_storage::{SimBackend, SimConfig};
 
 fn open_db(seed: u64) -> std::sync::Arc<Database> {
@@ -60,7 +62,10 @@ const QUERIES: &[&str] = &[
 ];
 
 fn sorted_rows(db: &Database, sql: &str) -> (Vec<String>, Vec<String>) {
-    let result = db.execute(sql).unwrap();
+    sorted_result(db.execute(sql).unwrap())
+}
+
+fn sorted_result(result: QueryResult) -> (Vec<String>, Vec<String>) {
     let mut rows: Vec<String> = result
         .rows
         .iter()
@@ -135,8 +140,11 @@ fn knob_flips_invalidate_cached_plans() {
 }
 
 fn explain_text(db: &Database, sql: &str) -> String {
-    db.execute(&format!("EXPLAIN {sql}"))
-        .unwrap()
+    explain_lines(db.execute(&format!("EXPLAIN {sql}")).unwrap())
+}
+
+fn explain_lines(result: QueryResult) -> String {
+    result
         .rows
         .iter()
         .map(|row| row[0].to_string())
@@ -144,17 +152,9 @@ fn explain_text(db: &Database, sql: &str) -> String {
         .join("\n")
 }
 
-/// The richer access paths — composite-equality probes, prefix-range
-/// scans, IndexOr probe unions, IndexAnd intersections, covering
-/// index-only scans — must each be provably *chosen* by the cost model
-/// on a shape built for it, and byte-identical to the forced
-/// sequential-scan baseline. The data includes NULLs in an indexed
-/// column (NULL keys live in the B-tree but `= NULL` is never true in
-/// SQL: the residual filter must drop what the probe admits) and the
-/// IN list carries a duplicate literal (plan-time key dedup).
-#[test]
-fn new_access_paths_chosen_and_differentially_correct() {
-    let db = open_db(21);
+/// 900 events over 9 tenants with a composite (tenant, ts) index and a
+/// nullable `kind` index; every 97th kind is NULL.
+fn load_events(db: &Database) {
     db.execute(
         "CREATE TABLE ev (tenant INT NOT NULL, ts INT NOT NULL, kind INT, payload TEXT)",
     )
@@ -177,38 +177,54 @@ fn new_access_paths_chosen_and_differentially_correct() {
             .unwrap();
     }
     db.execute("ANALYZE ev").unwrap();
+}
 
-    // (query, marker the chosen plan must carry)
-    let cases: &[(&str, &str)] = &[
-        // Composite equality on both key columns.
-        (
-            "SELECT payload FROM ev WHERE tenant = 4 AND ts = 400",
-            "eq=[Int(4), Int(400)]",
-        ),
-        // Equality prefix + range on the next key column.
-        (
-            "SELECT payload FROM ev WHERE tenant = 4 AND ts >= 100 AND ts <= 140",
-            "eq=[Int(4)] lo=Some(Int(100)) hi=Some(Int(140)) hi_inc=true",
-        ),
-        // IN list → IndexOr; the duplicate literal dedups to 2 keys.
-        (
-            "SELECT payload FROM ev WHERE kind IN (3, 3, 7)",
-            "IndexOr ev.ev_kind (2 keys)",
-        ),
-        // Two moderately selective equalities → sorted-rid intersection.
-        // (tenant = i%9 and kind = i%45 correlate: kind 7 rows all live
-        // in tenant 7, so the intersection is non-empty.)
-        (
-            "SELECT payload FROM ev WHERE tenant = 7 AND kind = 7",
-            "IndexAnd ev [ev_tenant_ts ∩ ev_kind]",
-        ),
-        // Key columns answer the query → index-only scan.
-        (
-            "SELECT tenant, ts FROM ev WHERE tenant = 7",
-            "covering",
-        ),
-    ];
-    for (sql, marker) in cases {
+/// One query per richer access path: (query, marker the chosen plan
+/// must carry in `EXPLAIN`).
+const ACCESS_PATH_CASES: &[(&str, &str)] = &[
+    // Composite equality on both key columns.
+    (
+        "SELECT payload FROM ev WHERE tenant = 4 AND ts = 400",
+        "eq=[Int(4), Int(400)]",
+    ),
+    // Equality prefix + range on the next key column.
+    (
+        "SELECT payload FROM ev WHERE tenant = 4 AND ts >= 100 AND ts <= 140",
+        "eq=[Int(4)] lo=Some(Int(100)) hi=Some(Int(140)) hi_inc=true",
+    ),
+    // IN list → IndexOr; the duplicate literal dedups to 2 keys.
+    (
+        "SELECT payload FROM ev WHERE kind IN (3, 3, 7)",
+        "IndexOr ev.ev_kind (2 keys)",
+    ),
+    // Two moderately selective equalities → sorted-rid intersection.
+    // (tenant = i%9 and kind = i%45 correlate: kind 7 rows all live
+    // in tenant 7, so the intersection is non-empty.)
+    (
+        "SELECT payload FROM ev WHERE tenant = 7 AND kind = 7",
+        "IndexAnd ev [ev_tenant_ts ∩ ev_kind]",
+    ),
+    // Key columns answer the query → index-only scan.
+    (
+        "SELECT tenant, ts FROM ev WHERE tenant = 7",
+        "covering",
+    ),
+];
+
+/// The richer access paths — composite-equality probes, prefix-range
+/// scans, IndexOr probe unions, IndexAnd intersections, covering
+/// index-only scans — must each be provably *chosen* by the cost model
+/// on a shape built for it, and byte-identical to the forced
+/// sequential-scan baseline. The data includes NULLs in an indexed
+/// column (NULL keys live in the B-tree but `= NULL` is never true in
+/// SQL: the residual filter must drop what the probe admits) and the
+/// IN list carries a duplicate literal (plan-time key dedup).
+#[test]
+fn new_access_paths_chosen_and_differentially_correct() {
+    let db = open_db(21);
+    load_events(&db);
+
+    for (sql, marker) in ACCESS_PATH_CASES {
         let explain = explain_text(&db, sql);
         assert!(explain.contains(marker), "`{sql}` should plan {marker}:\n{explain}");
         let chosen = sorted_rows(&db, sql);
@@ -239,6 +255,126 @@ fn new_access_paths_chosen_and_differentially_correct() {
         explain.contains("TableScan ev") && !explain.contains("IndexScan"),
         "weak prefix (non-leading column) must not probe:\n{explain}"
     );
+}
+
+/// The same access paths under MVCC, read from inside an open snapshot
+/// whose rows the B-trees no longer describe. The default session (A)
+/// pins a snapshot; session B then commits updates that move keys into
+/// and out of the probed ranges, deletes (leaving chain-only versions)
+/// and inserts; A then buffers its own updates, deletes and inserts.
+/// Every probe shape must still be chosen and must answer exactly what
+/// the sequential scan of the same snapshot answers — probed rids
+/// resolved through the overlay, chain versions the probe missed, and
+/// A's unindexed own writes all included. The index leaf alone (run
+/// without the planner's residual filter) must already return exactly
+/// those rows: replaced and buffered images are re-checked against the
+/// probe's key constraints. After A commits, the autocommit
+/// (latest-state) probes are checked the same way from B.
+#[test]
+fn new_access_paths_correct_against_mvcc_snapshots() {
+    let sim = SimBackend::new(SimConfig::seeded(22));
+    let opts = DbOptions {
+        concurrency: ConcurrencyControl::Mvcc,
+        ..DbOptions::default()
+    };
+    let db = Database::open_at(&*sim, opts).unwrap();
+    load_events(&db);
+
+    db.begin().unwrap();
+    let count = |rows: Vec<Vec<sbdms_access::record::Datum>>| rows[0][0].to_string();
+    let before: i64 = count(db.execute("SELECT COUNT(*) FROM ev").unwrap().rows)
+        .parse()
+        .unwrap();
+
+    let b = db.session();
+    for sql in [
+        // Into the composite point / out of it, into the prefix range.
+        "UPDATE ev SET ts = 120 WHERE tenant = 4 AND ts = 400",
+        // Out of tenant 4's prefix range (the B-tree no longer sees it).
+        "UPDATE ev SET tenant = 5 WHERE tenant = 4 AND ts = 112",
+        // Out of and into the IN list.
+        "UPDATE ev SET kind = 11 WHERE kind = 3 AND ts < 300",
+        "UPDATE ev SET kind = 3 WHERE kind = 12 AND ts < 200",
+        // Chain-only versions under every shape.
+        "DELETE FROM ev WHERE tenant = 7 AND ts < 200",
+        "DELETE FROM ev WHERE tenant = 4 AND ts >= 130 AND ts <= 135",
+        "DELETE FROM ev WHERE kind = 7 AND ts > 800",
+        // Inserts the snapshot must not see (some reuse freed rids).
+        "INSERT INTO ev VALUES (4, 105, 3, 'b1'), (7, 7000, 7, 'b2'), (4, 400, 7, 'b3')",
+    ] {
+        b.execute(sql).unwrap();
+    }
+
+    for sql in [
+        "UPDATE ev SET ts = 110 WHERE tenant = 4 AND ts = 499",
+        "UPDATE ev SET ts = 999 WHERE tenant = 4 AND ts = 103",
+        "UPDATE ev SET kind = 7 WHERE tenant = 7 AND ts = 601",
+        "UPDATE ev SET kind = 5 WHERE kind = 7 AND ts > 500 AND ts < 700",
+        "DELETE FROM ev WHERE tenant = 4 AND ts = 121",
+        "DELETE FROM ev WHERE tenant = 7 AND ts >= 250 AND ts < 300",
+        "INSERT INTO ev VALUES (4, 400, 7, 'a1'), (4, 125, 3, 'a2'), (7, 7, 7, 'a3'), (7, 9999, NULL, 'a4')",
+        "UPDATE ev SET ts = 130 WHERE payload = 'a4'",
+    ] {
+        db.execute(sql).unwrap();
+    }
+    // One own delete, six in the range, four own inserts.
+    let after = count(db.execute("SELECT COUNT(*) FROM ev").unwrap().rows);
+    assert_eq!(after, (before - 1 - 6 + 4).to_string(), "snapshot plus own writes only");
+
+    let check = |run: &dyn Fn(&str) -> QueryResult, label: &str| {
+        for (sql, marker) in ACCESS_PATH_CASES {
+            let explain = explain_lines(run(&format!("EXPLAIN {sql}")));
+            assert!(explain.contains(marker), "{label}: `{sql}` should plan {marker}:\n{explain}");
+            let chosen = sorted_result(run(sql));
+            db.set_index_selection(false);
+            let baseline = sorted_result(run(sql));
+            db.set_index_selection(true);
+            assert_eq!(chosen, baseline, "{label}: `{sql}` diverged from seq-scan baseline");
+            assert!(!chosen.1.is_empty(), "{label}: `{sql}` should return rows");
+        }
+    };
+    check(&|sql| db.execute(sql).unwrap(), "snapshot");
+
+    // The index leaf alone, without the residual filter above it.
+    for (sql, _) in ACCESS_PATH_CASES {
+        let Statement::Select(select) = parse(sql).unwrap() else {
+            panic!("`{sql}` is a SELECT");
+        };
+        let planned = plan_select(&select, &*db).unwrap();
+        let leaf = index_leaf(&planned.plan).expect("an index leaf");
+        let covering = matches!(leaf, Plan::IndexScan { covering: true, .. });
+        let mut rows: Vec<String> = db
+            .run_plan(leaf)
+            .unwrap()
+            .map(|row| {
+                let row = row.unwrap();
+                match covering {
+                    true => row.iter().map(|d| d.to_string()).collect::<Vec<_>>().join("|"),
+                    false => row[3].to_string(),
+                }
+            })
+            .collect();
+        rows.sort();
+        assert_eq!(rows, sorted_rows(&db, sql).1, "index leaf of `{sql}` under the snapshot");
+    }
+
+    // Spot checks of what the snapshot must see.
+    let point = sorted_rows(&db, ACCESS_PATH_CASES[0].0).1;
+    assert_eq!(point, vec!["a1".to_string(), "p400".to_string()]);
+    let range = sorted_rows(&db, ACCESS_PATH_CASES[1].0).1;
+    assert!(range.contains(&"p112".to_string()) && range.contains(&"p499".to_string()));
+    assert!(!range.contains(&"p103".to_string()) && !range.contains(&"b1".to_string()));
+
+    db.commit().unwrap();
+    check(&|sql| b.execute(sql).unwrap(), "autocommit");
+}
+
+/// The index access-path node of a plan, wherever it sits.
+fn index_leaf(plan: &Plan) -> Option<&Plan> {
+    match plan {
+        Plan::IndexScan { .. } | Plan::IndexOr { .. } | Plan::IndexAnd { .. } => Some(plan),
+        _ => plan.children().into_iter().find_map(index_leaf),
+    }
 }
 
 proptest! {

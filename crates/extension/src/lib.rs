@@ -4,7 +4,8 @@
 //! tailored extensions to manage different data types, such as XML files
 //! or streaming data, or integrate their own application specific
 //! services" — the figure lists "streaming, XML, procedures, queries,
-//! replication".
+//! replication". Replication is not provided here (log shipping is a
+//! deferred roadmap item).
 //!
 //! * [`xml`]: an XML parser, path queries, and a heap-backed document
 //!   store ([`xml::XmlService`]),
@@ -12,8 +13,6 @@
 //!   ([`stream::StreamService`]),
 //! * [`procedures`]: named, parameterised, transactional SQL programs
 //!   ([`procedures::ProcedureService`]),
-//! * [`replication`]: statement-based primary/replica replication with
-//!   promotion ([`replication::ReplicationService`]),
 //! * [`monitoring`]: the paper's §4 customised storage-monitoring service
 //!   ([`monitoring::StorageMonitorService`]).
 
@@ -21,12 +20,10 @@
 
 pub mod monitoring;
 pub mod procedures;
-pub mod replication;
 pub mod stream;
 pub mod xml;
 
 pub use monitoring::{GovernorMonitorService, StorageMonitorService};
 pub use procedures::{ProcedureEngine, ProcedureService};
-pub use replication::{ReplicationGroup, ReplicationService};
 pub use stream::{StreamEngine, StreamService, WindowAgg};
 pub use xml::{parse_xml, XmlService, XmlStore};
